@@ -70,14 +70,9 @@ func main() {
 	if err != nil {
 		cli.Fatal(tool, err)
 	}
-	o.ExtraMux = srv.RegisterHTTP
-	o.Start()
-	defer o.Finish()
-
-	fmt.Fprintf(os.Stderr, "%s: serving %d prefixes x %d vps (%d admitted of %d seen), %d atoms at epoch 0\n",
-		tool, srv.PrefixCount(), len(snap.VPs), rep.PrefixesAdmitted, rep.PrefixesSeen, srv.AtomCount())
-	fmt.Fprintf(os.Stderr, "%s: ingest on %s, binary queries on %s\n", tool, srv.Addr(), srv.QueryAddr())
-
+	// The drain handler goes in before any address is announced: a
+	// client that signals as soon as it reads a port must get a drain,
+	// not the default kill.
 	done := make(chan struct{})
 	stop := cli.OnSignal(func() {
 		fmt.Fprintf(os.Stderr, "%s: draining ingest sessions\n", tool)
@@ -85,6 +80,13 @@ func main() {
 		close(done)
 	})
 	defer stop()
+	o.ExtraMux = srv.RegisterHTTP
+	o.Start()
+	defer o.Finish()
+
+	fmt.Fprintf(os.Stderr, "%s: serving %d prefixes x %d vps (%d admitted of %d seen), %d atoms at epoch 0\n",
+		tool, srv.PrefixCount(), len(snap.VPs), rep.PrefixesAdmitted, rep.PrefixesSeen, srv.AtomCount())
+	fmt.Fprintf(os.Stderr, "%s: ingest on %s, binary queries on %s\n", tool, srv.Addr(), srv.QueryAddr())
 	<-done
 
 	st := srv.DeltaStats()

@@ -35,6 +35,7 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -595,28 +596,36 @@ func (s *Stream) ensureRunning() {
 		}
 		if par {
 			// The attribute cache is not safe for concurrent use:
-			// parallel decoders each get their own (pooled). Their
-			// element buffers are pooled too — each will hold the whole
-			// source's decoded elements.
+			// parallel decoders each get their own (pooled).
 			d.attrCache = attrCachePool.Get().(*bgp.AttrCache)
-			buf := elemsPool.Get().(*[]Elem)
-			// Right-size up front: the pool mixes buffers from sources of
-			// very different sizes, and growing a small recycled buffer to
-			// a big source's element count would reallocate the whole
-			// doubling chain on every reuse. Measured element densities
-			// sit around one element per 25-60 archive bytes (RIB entries
-			// are denser than update messages), so bytes/32 lands within
-			// ~1.3x of the real count either way — at worst one final
-			// append growth instead of a chain.
-			if est := len(d.src.Data) / 32; cap(*buf) < est {
-				*buf = make([]Elem, 0, est)
-			}
-			d.elems = (*buf)[:0]
 		} else {
 			d.attrCache = s.attrCache
 		}
 	}
 	if par {
+		// Element buffers are pooled too — each will hold the whole
+		// source's decoded elements. The pool returns them in no useful
+		// order, so pair them by size, largest with largest: a buffer
+		// short of its source's estimate is reallocated whole, up front,
+		// rather than grown through a doubling chain. Measured element
+		// densities sit around one element per 25-60 archive bytes (RIB
+		// entries are denser than update messages), so bytes/32 lands
+		// within ~1.3x of the real count either way — at worst one final
+		// append growth instead of a chain.
+		bufs := make([]*[]Elem, len(s.decs))
+		for i := range bufs {
+			bufs[i] = elemsPool.Get().(*[]Elem)
+		}
+		slices.SortFunc(bufs, func(a, b *[]Elem) int { return cap(*b) - cap(*a) })
+		bySize := slices.Clone(s.decs)
+		slices.SortStableFunc(bySize, func(a, b *sourceDecoder) int { return len(b.src.Data) - len(a.src.Data) })
+		for i, d := range bySize {
+			buf := bufs[i]
+			if est := len(d.src.Data) / 32; cap(*buf) < est {
+				*buf = make([]Elem, 0, est)
+			}
+			d.elems = (*buf)[:0]
+		}
 		parallel.ForEach(s.workers, len(s.decs), func(i int) error {
 			s.decs[i].drain()
 			return nil

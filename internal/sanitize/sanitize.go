@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -71,7 +72,7 @@ type Options struct {
 	// full-feed inference runs within the family's own table sizes.
 	Family int
 	// Workers bounds the worker pool for the parallel pipeline stages
-	// (per-source MRT decode fan-out, per-feed path interning, snapshot
+	// (per-source MRT decode fan-out, per-feed route filtering, snapshot
 	// assembly): 0 = one worker per CPU, 1 = fully sequential. Output is
 	// identical at any value.
 	Workers int
@@ -190,10 +191,46 @@ type Feed struct {
 	ASSetDropped int
 }
 
-// feedKey identifies a feed.
-type feedKey struct {
-	collector string
-	asn       uint32
+// prefixIndex assigns each distinct prefix a dense index, once. Every
+// per-feed table in the pipeline is a column over these indices.
+type prefixIndex struct {
+	ids      map[netip.Prefix]int32
+	prefixes []netip.Prefix // dense index → prefix
+}
+
+func (x *prefixIndex) id(pfx netip.Prefix) int32 {
+	if i, ok := x.ids[pfx]; ok {
+		return i
+	}
+	x.ids[pfx] = int32(len(x.prefixes))
+	x.prefixes = append(x.prefixes, pfx)
+	return int32(len(x.prefixes) - 1)
+}
+
+// column is one feed in the dense prefix × feed layout: routes[p] holds
+// 1 + the interned path ID of dense prefix p, or 0 where the feed has no
+// route, so an empty AS path (aspath.Empty) stays distinct from absence.
+type column struct {
+	stat   FeedStat
+	time   uint32
+	stored int // routes stored before the family and loop filters
+	routes []aspath.ID
+}
+
+// grow extends routes with absent cells up to length n.
+func grow(routes []aspath.ID, n int) []aspath.ID {
+	if n > len(routes) {
+		routes = append(routes, make([]aspath.ID, n-len(routes))...)
+	}
+	return routes
+}
+
+// vpLess is the deterministic VP order: collector, then peer AS.
+func vpLess(a, b core.VP) bool {
+	if a.Collector != b.Collector {
+		return a.Collector < b.Collector
+	}
+	return a.ASN < b.ASN
 }
 
 // Clean runs the full pipeline over RIB sources, consulting update-
@@ -203,7 +240,9 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	// Pass 1: ingest RIB elements per feed.
 	sp := opts.Span.Child("sanitize.ingest")
 	elems := 0
-	feeds := map[feedKey]*Feed{}
+	feeds := map[core.VP]*column{}
+	var list []*column
+	ix := &prefixIndex{ids: map[netip.Prefix]int32{}}
 	filter := &bgpstream.Filter{
 		Types:  map[bgpstream.ElemType]bool{bgpstream.ElemRIB: true},
 		V4Only: opts.Family == 4,
@@ -213,8 +252,8 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	stream.SetMetrics(opts.Metrics)
 	stream.SetWorkers(opts.Workers)
 	// The stream's decode workers flatten and intern every RIB path into
-	// the pipeline's table, so ingest below just resolves IDs — and any
-	// snapshot sharing this table (opts.Intern) hits the table warm.
+	// the pipeline's table, so ingest below stores IDs as they come — and
+	// any snapshot sharing this table (opts.Intern) hits the table warm.
 	table := opts.Intern
 	if table == nil {
 		table = aspath.NewTable()
@@ -239,48 +278,38 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 		elems += len(batch)
 		for i := range batch {
 			e := &batch[i]
-			k := feedKey{collector: e.Collector, asn: e.PeerASN}
-			fd := feeds[k]
+			vp := core.VP{Collector: e.Collector, ASN: e.PeerASN}
+			fd := feeds[vp]
 			if fd == nil {
-				fd = &Feed{
-					VP:     core.VP{Collector: e.Collector, ASN: e.PeerASN},
-					Time:   e.Timestamp,
-					Routes: map[netip.Prefix]aspath.Seq{},
-				}
-				feeds[k] = fd
+				fd = &column{stat: FeedStat{VP: vp}, time: e.Timestamp}
+				feeds[vp] = fd
+				list = append(list, fd)
 			}
 			pfx := prefixset.Canonical(e.Prefix)
 			if !pfx.IsValid() {
 				continue
 			}
-			if _, dup := fd.Routes[pfx]; dup {
-				fd.Duplicates++
-				continue
-			}
-			if e.PathUnusable {
+			p := ix.id(pfx)
+			fd.routes = grow(fd.routes, int(p)+1)
+			switch {
+			case fd.routes[p] != 0:
+				fd.stat.Duplicates++
+			case e.PathUnusable:
 				// Multi-AS-set or confederation: the path is unusable; the
 				// prefix is treated as unseen at this feed (§2.4.4).
-				fd.ASSetDropped++
-				continue
+				fd.stat.ASSetDropped++
+			default:
+				fd.routes[p] = e.InternedPath + 1
+				fd.stored++
 			}
-			// The stored Seq is table-owned: stable for the life of the
-			// table, no per-element copy.
-			//atomlint:owned table-owned Seq: the era's intern table outlives every feed built from it
-			fd.Routes[pfx] = table.Seq(e.InternedPath)
 		}
 	}
-	list := make([]*Feed, 0, len(feeds))
-	for _, fd := range feeds {
-		list = append(list, fd)
+	for _, fd := range list {
+		fd.routes = grow(fd.routes, len(ix.prefixes))
 	}
-	// The map iteration above hands CleanFeeds its feed order; sort by VP
-	// so interning and report assembly see a process-stable sequence.
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].VP.Collector != list[j].VP.Collector {
-			return list[i].VP.Collector < list[j].VP.Collector
-		}
-		return list[i].VP.ASN < list[j].VP.ASN
-	})
+	// Feeds appear in stream order; sort by VP so the report and the
+	// snapshot time see a process-stable sequence.
+	sort.Slice(list, func(i, j int) bool { return vpLess(list[i].stat.VP, list[j].stat.VP) })
 	// Merge the RIB stream's own quarantine verdicts (degradation
 	// budgets blown while reading these archives) into the caller's set
 	// before the feed pipeline runs. Copy: opts is the caller's value.
@@ -301,40 +330,73 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	sp.SetAttr("decode_bytes", int(stream.DecodedBytes()))
 	sp.End()
 	opts.Intern = table
-	return CleanFeeds(list, updateWarnings, opts)
+	sp = opts.Span.Child("sanitize.clean_feeds")
+	defer sp.End()
+	return clean(sp, ix.prefixes, list, updateWarnings, opts)
 }
 
-// CleanFeeds runs the pipeline over already-ingested feeds.
+// CleanFeeds runs the pipeline over already-ingested feeds: it interns
+// their routes into the same dense columns Clean builds, then runs the
+// same core.
 func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) (*core.Snapshot, *Report, error) {
 	sp := opts.Span.Child("sanitize.clean_feeds")
 	defer sp.End()
+	stage := sp.Child("intern")
+	if opts.Intern == nil {
+		opts.Intern = aspath.NewTable()
+	}
+	ix := &prefixIndex{ids: map[netip.Prefix]int32{}}
+	for _, f := range list {
+		for pfx := range f.Routes {
+			ix.id(pfx)
+		}
+	}
+	cols := make([]*column, len(list))
+	parallel.ForEach(opts.Workers, len(list), func(i int) error {
+		f := list[i]
+		c := &column{stat: FeedStat{VP: f.VP, Duplicates: f.Duplicates, ASSetDropped: f.ASSetDropped},
+			time: f.Time, stored: len(f.Routes), routes: make([]aspath.ID, len(ix.prefixes))}
+		for pfx, seq := range f.Routes {
+			c.routes[ix.ids[pfx]] = opts.Intern.Intern(seq) + 1
+		}
+		cols[i] = c
+		return nil
+	})
+	stage.SetAttr("paths_interned", opts.Intern.Len())
+	stage.End()
+	return clean(sp, ix.prefixes, cols, updateWarnings, opts)
+}
+
+// Path classes, computed once per interned path.
+const loopPath, privatePath uint8 = 1, 2
+
+// clean is the pipeline core over dense columns: every column has one
+// cell per entry of prefixes, and opts.Intern resolves the cells' IDs.
+func clean(sp *obs.Span, prefixes []netip.Prefix, list []*column, updateWarnings []bgpstream.Warning, opts Options) (*core.Snapshot, *Report, error) {
 	reg := opts.Metrics
 	rep := &Report{RemovedPeerASes: map[uint32]RemovalReason{}}
 	// Remember whether any input feed carried routes: the
 	// all-feeds-removed gate below distinguishes "filters ate real data"
 	// (an error) from "there was nothing to see" (a legal empty era).
 	hadData := false
-	for _, f := range list {
-		if len(f.Routes) > 0 {
-			hadData = true
-			break
-		}
+	for _, c := range list {
+		hadData = hadData || c.stored > 0
 	}
 	// Quarantine: feeds from collectors whose sources blew their
 	// degradation budget are excluded wholesale before any other stage —
 	// the same mechanism as abnormal-peer removal, one level up. Their
 	// stats appear nowhere else in the report.
 	if len(opts.QuarantinedCollectors) > 0 {
-		kept := make([]*Feed, 0, len(list))
-		for _, f := range list {
-			if opts.QuarantinedCollectors[f.VP.Collector] {
+		kept := make([]*column, 0, len(list))
+		for _, c := range list {
+			if opts.QuarantinedCollectors[c.stat.VP.Collector] {
 				rep.QuarantinedFeeds++
 				if reg != nil {
-					reg.Counter("sanitize.vp_dropped", "vp", f.VP.String(), "cause", "quarantined").Inc()
+					reg.Counter("sanitize.vp_dropped", "vp", c.stat.VP.String(), "cause", "quarantined").Inc()
 				}
 				continue
 			}
-			kept = append(kept, f)
+			kept = append(kept, c)
 		}
 		list = kept
 		names := make([]string, 0, len(opts.QuarantinedCollectors))
@@ -348,70 +410,65 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		}
 	}
 	table := opts.Intern
-	if table == nil {
-		table = aspath.NewTable()
-	}
 
-	stage := sp.Child("intern")
-
-	type feedData struct {
-		stat   FeedStat
-		routes map[netip.Prefix]aspath.ID
-	}
+	stage := sp.Child("routes")
 	var snapTime uint32
-	for _, f := range list {
+	for _, c := range list {
 		if snapTime == 0 {
-			snapTime = f.Time
+			snapTime = c.time
 		}
 	}
-	// Per-feed interning runs on the worker pool: each worker owns its
-	// feed's routes map and interns into the shared striped table. Path
-	// ID values depend on interleaving, but every consumer treats IDs as
-	// opaque equality tokens, so the snapshot is unchanged.
-	feeds := make([]*feedData, len(list))
+	// Loop and private-ASN checks run once per distinct path, not once
+	// per route.
+	flags := make([]uint8, table.Len())
+	parallel.Chunks(opts.Workers, len(flags), func(lo, hi int) error {
+		for id := lo; id < hi; id++ {
+			if seq := table.Seq(aspath.ID(id)); seq.HasLoop() {
+				flags[id] = loopPath
+			} else if len(seq) > 1 && seq[1:].HasPrivateASN() {
+				flags[id] = privatePath
+			}
+		}
+		return nil
+	})
+	// Each worker owns whole columns: it drops the routes outside the
+	// requested family and the loops, and tallies what stays.
 	parallel.ForEach(opts.Workers, len(list), func(i int) error {
-		f := list[i]
-		fd := &feedData{
-			stat: FeedStat{
-				VP:           f.VP,
-				Duplicates:   f.Duplicates,
-				ASSetDropped: f.ASSetDropped,
-			},
-			routes: make(map[netip.Prefix]aspath.ID, len(f.Routes)),
+		c := list[i]
+		for p, r := range c.routes {
+			if r == 0 {
+				continue
+			}
+			if (opts.Family == 4 && !prefixes[p].Addr().Is4()) || (opts.Family == 6 && prefixes[p].Addr().Is4()) {
+				c.routes[p] = 0
+				continue
+			}
+			switch flags[r-1] {
+			case loopPath:
+				c.stat.LoopDropped++
+				c.routes[p] = 0
+				continue
+			case privatePath:
+				c.stat.PrivateASN++
+			}
+			c.stat.UniquePrefixes++
 		}
-		for pfx, seq := range f.Routes {
-			if opts.Family == 4 && !pfx.Addr().Is4() {
-				continue
-			}
-			if opts.Family == 6 && pfx.Addr().Is4() {
-				continue
-			}
-			if seq.HasLoop() {
-				fd.stat.LoopDropped++
-				continue
-			}
-			if len(seq) > 1 && seq[1:].HasPrivateASN() {
-				fd.stat.PrivateASN++
-			}
-			fd.routes[pfx] = table.Intern(seq)
-		}
-		feeds[i] = fd
 		return nil
 	})
 	if reg != nil {
-		reg.Counter("sanitize.feeds").Add(int64(len(feeds)))
+		reg.Counter("sanitize.feeds").Add(int64(len(list)))
 		var loops, dups, assets int64
-		for _, fd := range feeds {
-			loops += int64(fd.stat.LoopDropped)
-			dups += int64(fd.stat.Duplicates)
-			assets += int64(fd.stat.ASSetDropped)
+		for _, c := range list {
+			loops += int64(c.stat.LoopDropped)
+			dups += int64(c.stat.Duplicates)
+			assets += int64(c.stat.ASSetDropped)
 		}
 		reg.Counter("sanitize.routes_dropped", "cause", "loop").Add(loops)
 		reg.Counter("sanitize.routes_dropped", "cause", "duplicate").Add(dups)
 		reg.Counter("sanitize.routes_dropped", "cause", "as-set").Add(assets)
 	}
-	stage.SetAttr("feeds", len(feeds))
-	stage.SetAttr("paths_interned", table.Len())
+	stage.SetAttr("feeds", len(list))
+	stage.SetAttr("paths", table.Len())
 	stage.End()
 	stage = sp.Child("abnormal_peers")
 
@@ -442,17 +499,16 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 
 	// Abnormal peers from feed-level shares. Removal is by peer AS
 	// (every feed of that AS goes), matching the paper.
-	for _, fd := range feeds {
-		n := len(fd.routes)
-		fd.stat.UniquePrefixes = n
+	for _, c := range list {
+		n := c.stat.UniquePrefixes
 		if n == 0 {
 			continue
 		}
-		if float64(fd.stat.PrivateASN)/float64(n) > opts.PrivateASNShare {
-			rep.RemovedPeerASes[fd.stat.VP.ASN] = RemovedPrivateASN
+		if float64(c.stat.PrivateASN)/float64(n) > opts.PrivateASNShare {
+			rep.RemovedPeerASes[c.stat.VP.ASN] = RemovedPrivateASN
 		}
-		if float64(fd.stat.Duplicates)/float64(n+fd.stat.Duplicates) > opts.DuplicateShare {
-			rep.RemovedPeerASes[fd.stat.VP.ASN] = RemovedDuplicates
+		if float64(c.stat.Duplicates)/float64(n+c.stat.Duplicates) > opts.DuplicateShare {
+			rep.RemovedPeerASes[c.stat.VP.ASN] = RemovedDuplicates
 		}
 	}
 	if reg != nil {
@@ -466,57 +522,46 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 
 	// Full-feed inference over surviving feeds.
 	max := 0
-	for _, fd := range feeds {
-		if _, gone := rep.RemovedPeerASes[fd.stat.VP.ASN]; gone {
-			continue
-		}
-		if len(fd.routes) > max {
-			max = len(fd.routes)
+	for _, c := range list {
+		if _, gone := rep.RemovedPeerASes[c.stat.VP.ASN]; !gone && c.stat.UniquePrefixes > max {
+			max = c.stat.UniquePrefixes
 		}
 	}
 	rep.MaxPrefixCount = max
 	rep.FullFeedThreshold = int(opts.FullFeedFraction * float64(max))
 
-	var vpFeeds []*feedData
-	for _, fd := range feeds {
-		if _, gone := rep.RemovedPeerASes[fd.stat.VP.ASN]; gone {
+	var vpFeeds []*column
+	for _, c := range list {
+		n := c.stat.UniquePrefixes
+		if _, gone := rep.RemovedPeerASes[c.stat.VP.ASN]; gone {
 			if reg != nil {
-				reg.Counter("sanitize.vp_dropped", "vp", fd.stat.VP.String(), "cause", "abnormal-peer").Inc()
+				reg.Counter("sanitize.vp_dropped", "vp", c.stat.VP.String(), "cause", "abnormal-peer").Inc()
 			}
 			continue
 		}
-		if len(fd.routes) > rep.FullFeedThreshold ||
-			(opts.KeepAllPrefixes && len(fd.routes) > 0) {
-			fd.stat.FullFeed = len(fd.routes) > rep.FullFeedThreshold
-			if fd.stat.FullFeed {
+		if n > rep.FullFeedThreshold || (opts.KeepAllPrefixes && n > 0) {
+			c.stat.FullFeed = n > rep.FullFeedThreshold
+			if c.stat.FullFeed {
 				rep.FullFeeds++
 			}
-			vpFeeds = append(vpFeeds, fd)
+			vpFeeds = append(vpFeeds, c)
 		} else if reg != nil {
-			reg.Counter("sanitize.vp_dropped", "vp", fd.stat.VP.String(), "cause", "below-threshold").Inc()
+			reg.Counter("sanitize.vp_dropped", "vp", c.stat.VP.String(), "cause", "below-threshold").Inc()
 		}
 	}
 	if reg != nil {
 		reg.Counter("sanitize.vps_admitted").Add(int64(len(vpFeeds)))
 	}
 	// Deterministic VP order.
-	sort.Slice(vpFeeds, func(i, j int) bool {
-		a, b := vpFeeds[i].stat.VP, vpFeeds[j].stat.VP
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		return a.ASN < b.ASN
-	})
-	for _, fd := range feeds {
-		rep.Feeds = append(rep.Feeds, fd.stat)
+	sort.Slice(vpFeeds, func(i, j int) bool { return vpLess(vpFeeds[i].stat.VP, vpFeeds[j].stat.VP) })
+	vps := make([]core.VP, len(vpFeeds))
+	for i, c := range vpFeeds {
+		vps[i] = c.stat.VP
 	}
-	sort.Slice(rep.Feeds, func(i, j int) bool {
-		a, b := rep.Feeds[i].VP, rep.Feeds[j].VP
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		return a.ASN < b.ASN
-	})
+	for _, c := range list {
+		rep.Feeds = append(rep.Feeds, c.stat)
+	}
+	sort.Slice(rep.Feeds, func(i, j int) bool { return vpLess(rep.Feeds[i].VP, rep.Feeds[j].VP) })
 
 	stage.SetAttr("max_prefixes", rep.MaxPrefixCount)
 	stage.SetAttr("threshold", rep.FullFeedThreshold)
@@ -537,87 +582,45 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage = sp.Child("admission")
 
 	// Prefix admission: length + visibility thresholds over VP feeds.
-	// The candidate set is the sorted union of feed prefixes; distinct
-	// collector / peer-AS counts then come from two reusable stamp
-	// arrays indexed by dense feed-level IDs, so the whole stage
-	// allocates a handful of flat slices instead of three maps per
-	// prefix.
-	total := 0
-	for _, fd := range vpFeeds {
-		total += len(fd.routes)
-	}
-	cand := make([]netip.Prefix, 0, total)
-	for _, fd := range vpFeeds {
-		for pfx := range fd.routes {
-			cand = append(cand, pfx)
+	// The candidates are the dense prefixes some VP feed holds, in
+	// prefix order; visibility is a walk down each candidate's cells.
+	uniq := make([]int32, 0, len(prefixes))
+	for p := range prefixes {
+		for _, c := range vpFeeds {
+			if c.routes[p] != 0 {
+				uniq = append(uniq, int32(p))
+				break
+			}
 		}
 	}
-	prefixset.SortPrefixes(cand)
-	uniq := cand[:0]
-	for i, pfx := range cand {
-		if i == 0 || pfx != cand[i-1] {
-			uniq = append(uniq, pfx)
-		}
-	}
+	sort.Slice(uniq, func(i, j int) bool { return prefixset.ComparePrefixes(prefixes[uniq[i]], prefixes[uniq[j]]) < 0 })
 	rep.PrefixesSeen = len(uniq)
 
-	collID := map[string]int32{}
-	asnID := map[uint32]int32{}
-	feedColl := make([]int32, len(vpFeeds))
-	feedASN := make([]int32, len(vpFeeds))
-	for i, fd := range vpFeeds {
-		ci, ok := collID[fd.stat.VP.Collector]
-		if !ok {
-			ci = int32(len(collID))
-			collID[fd.stat.VP.Collector] = ci
-		}
-		ai, ok := asnID[fd.stat.VP.ASN]
-		if !ok {
-			ai = int32(len(asnID))
-			asnID[fd.stat.VP.ASN] = ai
-		}
-		feedColl[i], feedASN[i] = ci, ai
-	}
-	collStamp := make([]int32, len(collID))
-	asnStamp := make([]int32, len(asnID))
-
-	admitted := make([]netip.Prefix, 0, len(uniq))
-	for ci, pfx := range uniq {
-		if opts.LengthFilter && !prefixset.Admissible(pfx) {
+	vis := newVisCounter(vps)
+	admitted := make([]int32, 0, len(uniq))
+	for _, p := range uniq {
+		if opts.LengthFilter && !prefixset.Admissible(prefixes[p]) {
 			rep.DroppedByLength++
 			continue
 		}
 		if !opts.KeepAllPrefixes {
-			// Count distinct collectors and peer ASes seeing pfx by
-			// stamping each dense ID with this prefix's ordinal — no
-			// clearing between prefixes.
-			stamp := int32(ci + 1)
-			nColl, nASN := 0, 0
-			for fi, fd := range vpFeeds {
-				if _, ok := fd.routes[pfx]; !ok {
-					continue
-				}
-				if collStamp[feedColl[fi]] != stamp {
-					collStamp[feedColl[fi]] = stamp
-					nColl++
-				}
-				if asnStamp[feedASN[fi]] != stamp {
-					asnStamp[feedASN[fi]] = stamp
-					nASN++
+			vis.reset()
+			for v, c := range vpFeeds {
+				if c.routes[p] != 0 {
+					vis.add(v)
 				}
 			}
-			if nColl < opts.MinCollectors {
+			if vis.colls < opts.MinCollectors {
 				rep.DroppedByCollector++
 				continue
 			}
-			if nASN < opts.MinPeerASes {
+			if vis.ases < opts.MinPeerASes {
 				rep.DroppedByPeerASes++
 				continue
 			}
 		}
-		admitted = append(admitted, pfx)
+		admitted = append(admitted, p)
 	}
-	// admitted inherits uniq's sorted order; no re-sort needed.
 	rep.PrefixesAdmitted = len(admitted)
 	if reg != nil {
 		reg.Counter("sanitize.prefixes_seen").Add(int64(rep.PrefixesSeen))
@@ -631,13 +634,13 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage.End()
 	stage = sp.Child("assemble")
 
-	// Assemble the snapshot.
-	vps := make([]core.VP, len(vpFeeds))
-	for i, fd := range vpFeeds {
-		vps[i] = fd.stat.VP
+	// Assemble the snapshot; admitted inherits uniq's prefix order.
+	rows := make([]netip.Prefix, len(admitted))
+	for r, p := range admitted {
+		rows[r] = prefixes[p]
 	}
 	// Share the interning table built during ingestion.
-	snap := core.NewSnapshotWith(snapTime, vps, admitted, table)
+	snap := core.NewSnapshotWith(snapTime, vps, rows, table)
 	// Each chunk owns a disjoint range of snapshot rows; only the MOAS
 	// tally is shared, so it accumulates atomically. The tiny origins
 	// scratch is reused across the chunk's prefixes (origin counts per
@@ -645,25 +648,17 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	var moas atomic.Int64
 	parallel.Chunks(opts.Workers, len(admitted), func(lo, hi int) error {
 		origins := make([]uint32, 0, 8)
-		for p := lo; p < hi; p++ {
-			pfx := admitted[p]
-			row := snap.Row(p)
+		for r := lo; r < hi; r++ {
+			p := admitted[r]
+			row := snap.Row(r)
 			origins = origins[:0]
-			for v, fd := range vpFeeds {
-				if id, ok := fd.routes[pfx]; ok {
-					row[v] = id
-					if o, ok := table.Origin(id); ok {
-						known := false
-						for _, seen := range origins {
-							if seen == o {
-								known = true
-								break
-							}
-						}
-						if !known {
-							origins = append(origins, o)
-						}
-					}
+			for v, c := range vpFeeds {
+				if c.routes[p] == 0 {
+					continue
+				}
+				row[v] = c.routes[p] - 1
+				if o, ok := table.Origin(row[v]); ok && !slices.Contains(origins, o) {
+					origins = append(origins, o)
 				}
 			}
 			if len(origins) > 1 {
@@ -677,10 +672,50 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		reg.Counter("sanitize.moas_prefixes").Add(int64(rep.MOASPrefixes))
 	}
 	stage.End()
-	sp.SetAttr("feeds", len(feeds))
+	sp.SetAttr("feeds", len(list))
 	sp.SetAttr("vps", len(vpFeeds))
 	sp.SetAttr("prefixes", rep.PrefixesAdmitted)
 	return snap, rep, nil
+}
+
+// visCounter counts the distinct collectors and peer ASes among a set
+// of VPs with two stamp arrays over dense collector / peer-AS IDs:
+// reset moves to a new stamp, so nothing is cleared between sets.
+type visCounter struct {
+	coll, asn         []int32 // per VP: dense collector / peer-AS ID
+	collSeen, asnSeen []int32 // per dense ID: the last stamp that counted it
+	stamp             int32
+	colls, ases       int
+}
+
+func newVisCounter(vps []core.VP) *visCounter {
+	collID, asnID := map[string]int32{}, map[uint32]int32{}
+	c := &visCounter{coll: make([]int32, len(vps)), asn: make([]int32, len(vps))}
+	for i, vp := range vps {
+		if _, ok := collID[vp.Collector]; !ok {
+			collID[vp.Collector] = int32(len(collID))
+		}
+		if _, ok := asnID[vp.ASN]; !ok {
+			asnID[vp.ASN] = int32(len(asnID))
+		}
+		c.coll[i], c.asn[i] = collID[vp.Collector], asnID[vp.ASN]
+	}
+	c.collSeen, c.asnSeen = make([]int32, len(collID)), make([]int32, len(asnID))
+	return c
+}
+
+func (c *visCounter) reset() { c.stamp, c.colls, c.ases = c.stamp+1, 0, 0 }
+
+// add counts VP v into the current set.
+func (c *visCounter) add(v int) {
+	if ci := c.coll[v]; c.collSeen[ci] != c.stamp {
+		c.collSeen[ci] = c.stamp
+		c.colls++
+	}
+	if ai := c.asn[v]; c.asnSeen[ai] != c.stamp {
+		c.asnSeen[ai] = c.stamp
+		c.ases++
+	}
 }
 
 // CountAdmitted runs only the visibility portion of the pipeline for a
@@ -709,26 +744,16 @@ func VisibilityIndex(sources []bgpstream.Source, updateWarnings []bgpstream.Warn
 		peerASes:   make([]uint16, len(snap.Prefixes)),
 		lengthOK:   make([]bool, len(snap.Prefixes)),
 	}
+	vis := newVisCounter(snap.VPs)
 	for p, pfx := range snap.Prefixes {
-		colls := map[string]struct{}{}
-		ases := map[uint32]struct{}{}
+		vis.reset()
 		for vi, id := range snap.Row(p) {
-			if id == aspath.Empty {
-				continue
+			if id != aspath.Empty {
+				vis.add(vi)
 			}
-			colls[snap.VPs[vi].Collector] = struct{}{}
-			ases[snap.VPs[vi].ASN] = struct{}{}
 		}
-		if len(colls) > 255 {
-			v.collectors[p] = 255
-		} else {
-			v.collectors[p] = uint8(len(colls))
-		}
-		if len(ases) > 65535 {
-			v.peerASes[p] = 65535
-		} else {
-			v.peerASes[p] = uint16(len(ases))
-		}
+		v.collectors[p] = uint8(min(vis.colls, 255))
+		v.peerASes[p] = uint16(min(vis.ases, 65535))
 		v.lengthOK[p] = prefixset.Admissible(pfx)
 	}
 	return v, nil

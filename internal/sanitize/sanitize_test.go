@@ -279,6 +279,18 @@ func TestVisibilitySweep(t *testing.T) {
 	if chosen == 0 || float64(loose-chosen)/float64(loose) > 0.2 {
 		t.Errorf("chosen thresholds dropped too much: %d -> %d", loose, chosen)
 	}
+	// Pinned counts where this world's prefixes spread out: all five
+	// collectors, 26..38 peer ASes. Any change to how visibility is
+	// counted moves them.
+	want := []int{6361, 6360, 6358, 6356, 6277, 6262, 6235, 6130, 6052, 5876, 5723, 5462, 4866, 0}
+	for i, w := range want {
+		if got := vis.Count(5, 25+i); got != w {
+			t.Errorf("Count(5, %d) = %d, want %d", 25+i, got, w)
+		}
+	}
+	if got := vis.Count(6, 1); got != 0 {
+		t.Errorf("Count(6, 1) = %d, want 0 (the world has five collectors)", got)
+	}
 }
 
 func TestCleanPathsShareTable(t *testing.T) {

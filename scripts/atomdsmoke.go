@@ -5,8 +5,9 @@
 // announce lines on stderr, stream the golden update archives through
 // real TCP ingest sessions, query the HTTP and binary ports while the
 // daemon is live, then SIGTERM it and demand a clean drain and exit.
-// Everything asserted here is the operator-facing contract from the
-// README quick start.
+// A second boot is signalled the moment it announces its first address
+// and must drain just the same. Everything asserted here is the
+// operator-facing contract from the README quick start.
 //
 // Usage: go run scripts/atomdsmoke.go
 package main
@@ -77,15 +78,7 @@ func main() {
 	for _, c := range collectors {
 		ribArgs = append(ribArgs, filepath.Join("testdata", "golden", c+".rib.mrt"))
 	}
-	cmd := exec.Command(bin, append([]string{"-listen", "127.0.0.1:0", "-workers", "1"}, ribArgs...)...)
-	cmd.Stdout = io.Discard
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		fail("stderr pipe: %v", err)
-	}
-	if err := cmd.Start(); err != nil {
-		fail("start: %v", err)
-	}
+	cmd, sc := boot(bin, ribArgs)
 
 	// Stderr carries the obs announce line (HTTP address) and atomd's
 	// own "ingest on X, binary queries on Y" line; the drive sequence
@@ -95,8 +88,6 @@ func main() {
 	const ports = ": ingest on "
 	var httpBase, ingestAddr, queryAddr string
 	driven, drained := false, false
-	sc := bufio.NewScanner(stderr)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if i := strings.Index(line, announce); i >= 0 {
@@ -130,7 +121,51 @@ func main() {
 	if !drained {
 		fail("no drain summary after SIGTERM")
 	}
-	fmt.Println("atomdsmoke: OK (live ingest over TCP, HTTP + binary queries answered, SIGTERM drained cleanly)")
+	earlySignal(bin, ribArgs)
+	fmt.Println("atomdsmoke: OK (live ingest over TCP, HTTP + binary queries answered, SIGTERM drained cleanly, also on first announce)")
+}
+
+// boot starts atomd over ribArgs and returns it with a scanner over its
+// stderr.
+func boot(bin string, ribArgs []string) (*exec.Cmd, *bufio.Scanner) {
+	cmd := exec.Command(bin, append([]string{"-listen", "127.0.0.1:0", "-workers", "1"}, ribArgs...)...)
+	cmd.Stdout = io.Discard
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		fail("stderr pipe: %v", err)
+	}
+	if err := cmd.Start(); err != nil {
+		fail("start: %v", err)
+	}
+	sc := bufio.NewScanner(stderr)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	return cmd, sc
+}
+
+// earlySignal boots a fresh daemon and sends SIGTERM on the first line
+// that announces an address: a client may act on any announced port at
+// once, so the drain handler must already be installed by then.
+func earlySignal(bin string, ribArgs []string) {
+	cmd, sc := boot(bin, ribArgs)
+	signalled, drained := false, false
+	for sc.Scan() {
+		line := sc.Text()
+		if !signalled && (strings.Contains(line, ": observability on http://") || strings.Contains(line, ": ingest on ")) {
+			signalled = true
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				fail("early SIGTERM: %v", err)
+			}
+		}
+		if strings.Contains(line, "drained at epoch 0") {
+			drained = true
+		}
+	}
+	if err := cmd.Wait(); err != nil {
+		fail("atomd signalled on its first announce exited uncleanly: %v", err)
+	}
+	if !signalled || !drained {
+		fail("early signal: signalled=%v drained=%v, want both", signalled, drained)
+	}
 }
 
 // drive ingests the golden update archives and queries both surfaces.

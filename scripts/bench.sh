@@ -12,14 +12,14 @@
 # latency on the published view, which must stay allocation-free, and
 # end-to-end TCP ingest throughput), and a vs_prev block with the RunTrend workers=1 time and
 # allocation ratios against the previous PR's BENCH file. The RunTrend
-# matrix runs twice: at the host's native GOMAXPROCS and again pinned
-# to 8 via `go test -cpu 8` (entries carry a "-8" name suffix and
-# "cores": 8) — on a small host the second run oversubscribes the
-# scheduler, so its speedup measures scheduling overhead rather than
-# parallelism, but it is measured, not assumed. Core counts come from
-# the Go runtime (scripts/benchhost.go) rather than nproc: PR2's
-# container-confined nproc recorded "cores": 1, which made its speedup
-# numbers uninterpretable.
+# matrix runs at the host's native GOMAXPROCS and, on hosts with at
+# least 8 cores, again pinned to 8 via `go test -cpu 8` (entries carry
+# a "-8" name suffix and "cores": 8). On a smaller host that rerun
+# would oversubscribe the scheduler and measure scheduling overhead
+# rather than parallelism, so it is skipped and the output says so.
+# Core counts come from the Go runtime (scripts/benchhost.go) rather
+# than nproc: PR2's container-confined nproc recorded "cores": 1, which
+# made its speedup numbers uninterpretable.
 #
 # Usage:
 #   scripts/bench.sh            run benchmarks, write BENCH_pr10.json,
@@ -34,9 +34,12 @@ cd "$(dirname "$0")/.."
 
 OUT=BENCH_pr10.json
 
-# prev_bench prints the newest BENCH_*.json that is not $OUT.
+# prev_bench prints the BENCH_prN.json with the highest N that is not
+# $OUT. The sort is numeric: BENCH_pr10 is newer than BENCH_pr2.
 prev_bench() {
-    ls BENCH_*.json 2>/dev/null | grep -v "^$OUT\$" | sort | tail -n 1
+    ls BENCH_pr*.json 2>/dev/null | grep -v "^$OUT\$" |
+        sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1 &/p' |
+        sort -n | tail -n 1 | cut -d ' ' -f 2
 }
 
 compare() {
@@ -61,13 +64,21 @@ fi
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
+HOST=$(go run scripts/benchhost.go)
+NUMCPU=${HOST% *}
+MAXPROCS=${HOST#* }
+
 echo "== root benchmarks (end-to-end pipeline)"
 go test -run xxx -bench 'BenchmarkAtomComputation$|BenchmarkSnapshotBuildFastPath$|BenchmarkRunTrendParallel' \
     -benchmem -benchtime 2x . | tee -a "$RAW"
 
-echo "== RunTrend matrix at GOMAXPROCS=8 (-cpu 8)"
-go test -run xxx -bench 'BenchmarkRunTrendParallel' -cpu 8 \
-    -benchmem -benchtime 2x . | tee -a "$RAW"
+if [ "$NUMCPU" -ge 8 ]; then
+    echo "== RunTrend matrix at GOMAXPROCS=8 (-cpu 8)"
+    go test -run xxx -bench 'BenchmarkRunTrendParallel' -cpu 8 \
+        -benchmem -benchtime 2x . | tee -a "$RAW"
+else
+    echo "== RunTrend matrix at GOMAXPROCS=8 skipped: the runtime reports $NUMCPU cores, fewer than 8"
+fi
 
 echo "== churn replay benchmark (incremental delta kernel, p99 re-bucket latency)"
 go test -run xxx -bench 'BenchmarkChurnReplay$' \
@@ -86,10 +97,6 @@ go test -run xxx -bench 'BenchmarkBytesReader$|BenchmarkReader$' \
     -benchmem ./internal/mrt/ | tee -a "$RAW"
 go test -run xxx -bench 'BenchmarkStreamDecode' \
     -benchmem ./internal/bgpstream/ | tee -a "$RAW"
-
-HOST=$(go run scripts/benchhost.go)
-NUMCPU=${HOST% *}
-MAXPROCS=${HOST#* }
 
 # Previous PR's RunTrend workers=1 baseline, for the vs_prev ratios.
 PREV=$(prev_bench)
