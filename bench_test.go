@@ -213,12 +213,10 @@ func BenchmarkChurnReplay(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
-// BenchmarkSnapshotBuildFastPath measures the in-memory snapshot path
-// (the ablation against the MRT wire round-trip below).
+// BenchmarkSnapshotBuildFastPath measures one snapshot build: in-memory
+// feeds (collector.BuildFeeds), sanitization and atom grouping.
 func BenchmarkSnapshotBuildFastPath(b *testing.B) {
-	cfg := benchConfig()
-	cfg.FastPath = true
-	r := longitudinal.NewEraRun(cfg, topology.EraOf(2016, 1))
+	r := longitudinal.NewEraRun(benchConfig(), topology.EraOf(2016, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -255,21 +253,6 @@ func BenchmarkRunTrendParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSnapshotBuildWirePath measures the full MRT encode → parse →
-// sanitize round-trip (proven equivalent to the fast path).
-func BenchmarkSnapshotBuildWirePath(b *testing.B) {
-	cfg := benchConfig()
-	cfg.FastPath = false
-	r := longitudinal.NewEraRun(cfg, topology.EraOf(2016, 1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.SnapshotAt(longitudinal.OffsetBase); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

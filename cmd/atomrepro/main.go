@@ -44,7 +44,6 @@ func main() {
 		run   = flag.String("run", "all", "comma-separated experiment IDs, or all | tables | figures")
 		scale = flag.Float64("scale", 0.01, "world scale (1.0 = paper scale)")
 		seed  = flag.Uint64("seed", 7, "simulation seed")
-		slow  = flag.Bool("wire", false, "use the full MRT wire round-trip instead of the fast path")
 	)
 	workers := cli.NewWorkers()
 	o := cli.NewObs(tool)
@@ -61,7 +60,6 @@ func main() {
 
 	cfg := longitudinal.DefaultConfig(*seed)
 	cfg.Scale = *scale
-	cfg.FastPath = !*slow
 	cfg.Workers = *workers
 	cfg.Metrics = o.Registry
 	cfg.Progress = o.Progress

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +133,62 @@ func TestWireSafetyFixture(t *testing.T) {
 
 func TestLocksFixture(t *testing.T) {
 	checkFixture(t, "locks", "repro/internal/lockfix", All)
+}
+
+var vetDiagRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*)$`)
+
+// TestVetCopyLocksFixture pins the locks analyzer's division of labour
+// with go vet: the by-value lock copies it does not check (params,
+// receivers, assignments, range variables, a lock two levels deep
+// through an array, a sync/atomic field) must each be a `go vet
+// -copylocks` diagnostic on its `// want` line, and vet must report
+// nothing else there. The explicit testdata path makes vet load the
+// package, which ./... skips.
+func TestVetCopyLocksFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "lockcopy")
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("lockcopy fixture: %v (%d files)", err, len(files))
+	}
+	var wants []*wantDiag
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
+				wants = append(wants, &wantDiag{file: filepath.Base(f), line: i + 1, substr: m[1]})
+			}
+		}
+	}
+
+	out, err := exec.Command("go", "vet", "-copylocks", "./"+filepath.ToSlash(dir)).CombinedOutput()
+	if _, ok := err.(*exec.ExitError); err != nil && !ok {
+		t.Fatalf("go vet: %v", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		m := vetDiagRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		n, _ := strconv.Atoi(m[2])
+		claimed := false
+		for _, w := range wants {
+			if !w.matched && w.file == filepath.Base(m[1]) && w.line == n && strings.Contains(m[3], w.substr) {
+				w.matched, claimed = true, true
+				break
+			}
+		}
+		if !claimed {
+			t.Errorf("unexpected vet diagnostic: %s", line)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: want vet diagnostic containing %q, got none\nvet output:\n%s", w.file, w.line, w.substr, out)
+		}
+	}
 }
 
 func TestAliasingFixture(t *testing.T) {

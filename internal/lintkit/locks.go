@@ -3,159 +3,32 @@ package lintkit
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
-// Locks enforces lock hygiene everywhere:
-//
-//   - no by-value copies of types that (transitively, through fields and
-//     arrays — including the striped-lock tables) contain sync or
-//     sync/atomic values: by-value receivers and parameters, assignments
-//     from existing values, and by-value range variables;
-//   - every Lock/RLock call must have a matching Unlock/RUnlock on the
-//     same receiver within the function, and a non-deferred unlock must
-//     not have a return between the lock and the unlock.
+// Locks enforces Lock/Unlock pairing everywhere: every Lock/RLock call
+// must have a matching Unlock/RUnlock on the same receiver within the
+// function, and a non-deferred unlock must not have a return between
+// the lock and the unlock. By-value copies of lock-bearing types are
+// go vet's copylocks check, which CI runs beside atomlint (the
+// lockcopy fixture pins that vet flags them).
 //
 // Cross-function lock handoffs are rare and deliberate — suppress those
 // sites with //atomlint:ignore locks <reason>.
 var Locks = &Analyzer{
 	Name: "locks",
-	Doc:  "flag by-value copies of lock-bearing types and unbalanced Lock/Unlock pairs",
+	Doc:  "flag unbalanced Lock/Unlock pairs",
 	Run:  runLocks,
 }
 
 func runLocks(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkLockCopies(pass, fd)
-			if fd.Body != nil {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				checkLockPairing(pass, fd)
 			}
 		}
 	}
-}
-
-// containsLockType reports whether t transitively holds a sync or
-// sync/atomic value by value (pointers, slices, and maps break the
-// chain — sharing those is fine).
-func containsLockType(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch u := t.(type) {
-	case *types.Named:
-		if obj := u.Obj(); obj != nil && obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync", "sync/atomic":
-				return true
-			}
-		}
-		return containsLockType(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockType(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockType(u.Elem(), seen)
-	}
-	return false
-}
-
-func lockBearing(t types.Type) bool {
-	return containsLockType(t, map[types.Type]bool{})
-}
-
-// checkLockCopies flags by-value receivers, parameters, assignments, and
-// range variables of lock-bearing types.
-func checkLockCopies(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.Pkg.Info
-
-	checkField := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			if lockBearing(tv.Type) {
-				pass.Reportf(field.Pos(), "%s passes %s by value, copying its lock state", kind, tv.Type)
-			}
-		}
-	}
-	checkField(fd.Recv, "receiver")
-	if fd.Type.Params != nil {
-		checkField(fd.Type.Params, "parameter")
-	}
-
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range v.Rhs {
-				if i >= len(v.Lhs) {
-					break
-				}
-				if !copiesExistingValue(rhs) {
-					continue
-				}
-				tv, ok := info.Types[rhs]
-				if !ok {
-					continue
-				}
-				if lockBearing(tv.Type) {
-					pass.Reportf(v.Pos(), "assignment copies %s by value, copying its lock state", tv.Type)
-				}
-			}
-		case *ast.RangeStmt:
-			if v.Value == nil {
-				return true
-			}
-			// Range variables live in Defs (":=" form) or Uses ("=" form),
-			// not in the Types map.
-			var typ types.Type
-			if tv, ok := info.Types[v.Value]; ok {
-				typ = tv.Type
-			} else if id, ok := v.Value.(*ast.Ident); ok {
-				if obj := info.Defs[id]; obj != nil {
-					typ = obj.Type()
-				} else if obj := info.Uses[id]; obj != nil {
-					typ = obj.Type()
-				}
-			}
-			if typ != nil && lockBearing(typ) {
-				pass.Reportf(v.Value.Pos(), "range copies %s elements by value, copying their lock state (range over indices instead)", typ)
-			}
-		}
-		return true
-	})
-}
-
-// copiesExistingValue reports whether the expression reads an existing
-// value (ident, field, deref, element) — the forms where assignment
-// duplicates lock state. Composite literals and calls construct fresh
-// values and are fine.
-func copiesExistingValue(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesExistingValue(v.X)
-	}
-	return false
 }
 
 // lockCall describes one Lock/Unlock-family call site.

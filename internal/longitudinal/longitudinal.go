@@ -33,9 +33,6 @@ type Config struct {
 	Family int // 4 or 6
 	// Artifacts injects the §A8.3 defects (on for the modern study).
 	Artifacts bool
-	// FastPath skips the MRT wire round-trip when building snapshots
-	// (provably equivalent; see collector.BuildFeeds).
-	FastPath bool
 	// Sanitize overrides the cleaning options (zero value → Defaults
 	// with Config.Family applied).
 	Sanitize *sanitize.Options
@@ -86,7 +83,6 @@ func DefaultConfig(seed uint64) Config {
 		Scale:              0.02,
 		Family:             4,
 		Artifacts:          true,
-		FastPath:           true,
 		UnitEventRate:      topology.Curve{V2002: 0.05, V2004: 0.05, V2024: 0.30},
 		VPEventRate:        topology.Curve{V2002: 0.10, V2004: 0.10, V2024: 0.30},
 		PrefixMobileShare:  topology.Curve{V2002: 0.008, V2004: 0.010, V2024: 0.130},
@@ -221,36 +217,11 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	opts := r.sanitizeOptions()
 	opts.Span = sp
 	opts.Metrics = r.Cfg.Metrics
-	var snap *core.Snapshot
-	var rep *sanitize.Report
-	if r.Cfg.FastPath {
-		bsp := sp.Child("collector.build_feeds")
-		feeds := collector.BuildFeeds(r.Graph, r.Infra, ov, ts)
-		bsp.SetAttr("feeds", len(feeds))
-		bsp.End()
-		snap, rep, err = sanitize.CleanFeeds(feeds, warnings, opts)
-	} else {
-		bsp := sp.Child("collector.build_ribs")
-		ribs := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
-		// Archive order feeds the sanitize pipeline; iterate the map in
-		// sorted-name order so the run is byte-stable across processes.
-		names := make([]string, 0, len(ribs.Archives))
-		for name := range ribs.Archives {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		sources := make([]bgpstream.Source, 0, len(names))
-		totalBytes := 0
-		for _, name := range names {
-			data := ribs.Archives[name]
-			sources = append(sources, bgpstream.BytesSource(name, data, bgp.Options{}))
-			totalBytes += len(data)
-		}
-		bsp.SetAttr("archives", len(sources))
-		bsp.SetAttr("bytes", totalBytes)
-		bsp.End()
-		snap, rep, err = sanitize.Clean(sources, warnings, opts)
-	}
+	bsp := sp.Child("collector.build_feeds")
+	feeds := collector.BuildFeeds(r.Graph, r.Infra, ov, ts)
+	bsp.SetAttr("feeds", len(feeds))
+	bsp.End()
+	snap, rep, err := sanitize.CleanFeeds(feeds, warnings, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,8 +1,9 @@
 #!/bin/sh
-# verify.sh — the repo's full pre-merge check: vet, atomlint, build,
-# tests, a race-detector smoke of the concurrency-sensitive packages
-# (the obs instruments are lock-free atomics; bgpstream caches counters;
-# collector and routing fan work out to the pool), the fault-injection
+# verify.sh — the repo's full pre-merge check: vet (the root module and
+# the nested e2ebench module), atomlint, build, tests, a race-detector
+# smoke of the concurrency-sensitive packages (the obs instruments are
+# lock-free atomics; bgpstream caches counters; collector and routing
+# fan work out to the pool), the fault-injection
 # harness under -race, the incremental atom-maintenance differential
 # (replay vs batch recompute, incl. faultgen-damaged churn) under -race
 # plus a churn-bench smoke, the atomd daemon-vs-batch differential and
@@ -42,6 +43,12 @@ check_coverage() {
 
 echo "== go vet ./..."
 go vet ./...
+
+# e2ebench is its own module (replace repro => ../), so the root ./...
+# never builds it: vet it here so a root-module deletion or rename that
+# breaks the benchmark program fails now, not in a benchmark run.
+echo "== go vet ./... (e2ebench module)"
+(cd e2ebench && go vet ./...)
 
 echo "== atomlint ./... (determinism, hotpath, wiresafety, locks, aliasing, lifecycle)"
 lint_start="$(date +%s)"
